@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 
+#include "src/stream/prefix_sums.h"
 #include "src/util/framing.h"
 #include "src/util/logging.h"
 #include "src/util/thread_pool.h"
@@ -45,13 +46,9 @@ double AgglomerativeHistogram::SpanError(int64_t from_p, long double from_sum,
                                          long double from_sqsum, int64_t to_p,
                                          long double to_sum,
                                          long double to_sqsum) {
-  const int64_t w = to_p - from_p;
-  STREAMHIST_DCHECK(w >= 0);
-  if (w <= 1) return 0.0;
-  const long double s = to_sum - from_sum;
-  const long double q = to_sqsum - from_sqsum;
-  const long double err = q - s * s / static_cast<long double>(w);
-  return err > 0.0L ? static_cast<double>(err) : 0.0;
+  STREAMHIST_DCHECK(to_p >= from_p);
+  return SqErrorFromPrefixes(from_sum, from_sqsum, to_sum, to_sqsum,
+                             to_p - from_p);
 }
 
 void AgglomerativeHistogram::Append(double value) {
@@ -128,8 +125,10 @@ void AgglomerativeHistogram::Append(double value) {
       has_open_[ki] = true;
       open_start_herror_[ki] = h;
     } else if (h > (1.0 + delta_) * open_start_herror_[ki]) {
-      queues_[ki].push_back(Entry{n - 1, prev_sum_, prev_sqsum_,
-                                  herr_prev_[static_cast<size_t>(k)]});
+      queues_[ki].push_back(Entry{.p = n - 1,
+                                  .herror = herr_prev_[static_cast<size_t>(k)],
+                                  .sum = prev_sum_,
+                                  .sqsum = prev_sqsum_});
       scan_[ki].Push(queues_[ki].back());
       open_start_herror_[ki] = h;
     }

@@ -95,11 +95,11 @@ class AgglomerativeHistogram {
 
   /// A snapshotted closed-interval endpoint: prefix length p with its prefix
   /// sums and the (approximate) HERROR[p, k] at close time.
-  struct Entry {
+  struct Entry {  // p and herror first: 48 bytes, no alignment padding
     int64_t p;
+    double herror;
     long double sum;
     long double sqsum;
-    double herror;
   };
 
   // SSE of the bucket spanning prefix snapshots (from -> to].

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "src/stream/prefix_sums.h"
 #include "src/util/framing.h"
 #include "src/util/logging.h"
 
@@ -35,11 +36,6 @@ FixedWindowHistogram::FixedWindowHistogram(const FixedWindowOptions& options)
                             ? static_cast<size_t>(options_.num_buckets - 1)
                             : 0;
   queues_.resize(levels);
-  const size_t memo_slots =
-      static_cast<size_t>(options_.num_buckets + 1) *
-      static_cast<size_t>(options_.window_size + 1);
-  memo_.resize(memo_slots);
-  memo_epoch_.assign(memo_slots, 0);
 }
 
 void FixedWindowHistogram::Append(double value) {
@@ -49,9 +45,24 @@ void FixedWindowHistogram::Append(double value) {
   if (options_.rebuild_on_append) Rebuild();
 }
 
+void FixedWindowHistogram::EndpointQueue::Clear() {
+  p.clear();
+  herror.clear();
+  sum.clear();
+  sqsum.clear();
+}
+
+size_t FixedWindowHistogram::EndpointQueue::MemoryBytes() const {
+  return p.capacity() * sizeof(int64_t) + herror.capacity() * sizeof(double) +
+         (sum.capacity() + sqsum.capacity()) * sizeof(long double);
+}
+
 double FixedWindowHistogram::BucketCostOf(int64_t i, int64_t j) const {
   if (options_.metric == WindowErrorMetric::kSse) {
-    return window_.SqError(i, j);
+    const auto b = static_cast<size_t>(i);
+    const auto e = static_cast<size_t>(j);
+    return SqErrorFromPrefixes(prefix_sum_[b], prefix_sqsum_[b],
+                               prefix_sum_[e], prefix_sqsum_[e], j - i);
   }
   return maxabs_cost_->Cost(i, j);
 }
@@ -76,6 +87,22 @@ void FixedWindowHistogram::EvictOldest() {
   dirty_ = true;
   cached_histogram_.reset();
   if (options_.rebuild_on_append) Rebuild();
+}
+
+template <typename SpanCost>
+void FixedWindowHistogram::ScanEndpoints(const EndpointQueue& queue,
+                                         size_t end, SpanCost span_cost,
+                                         double* best,
+                                         int64_t* best_boundary) {
+  for (size_t idx = end; idx-- > 0;) {
+    const double span = span_cost(idx);
+    if (span >= *best) break;
+    const double candidate = queue.herror[idx] + span;
+    if (candidate < *best) {
+      *best = candidate;
+      *best_boundary = queue.p[idx];
+    }
+  }
 }
 
 FixedWindowHistogram::Eval FixedWindowHistogram::EvalHerror(int64_t p,
@@ -104,19 +131,27 @@ FixedWindowHistogram::Eval FixedWindowHistogram::EvalHerror(int64_t p,
     // [e.p, p) only widens going back, so its SQERROR is non-decreasing, and
     // once it alone reaches the best total no earlier entry can improve —
     // an exact prune that keeps the scan near the balance point.
-    const auto& queue = queues_[static_cast<size_t>(k - 2)];
-    auto first_ge = std::lower_bound(
-        queue.begin(), queue.end(), p,
-        [](const QueueEntry& e, int64_t value) { return e.p < value; });
-    for (auto it = std::make_reverse_iterator(first_ge); it != queue.rend();
-         ++it) {
-      const double span = BucketCostOf(it->p, p);
-      if (span >= best) break;
-      const double candidate = it->herror + span;
-      if (candidate < best) {
-        best = candidate;
-        best_boundary = it->p;
-      }
+    const EndpointQueue& queue = queues_[static_cast<size_t>(k - 2)];
+    const size_t end = static_cast<size_t>(
+        std::lower_bound(queue.p.begin(), queue.p.end(), p) - queue.p.begin());
+    if (options_.metric == WindowErrorMetric::kSse) {
+      // The endpoints carry their prefix sums inline, so pricing [e, p) is
+      // two contiguous loads per endpoint (the same operands BucketCostOf
+      // would read from the snapshot).
+      const long double sum_p = prefix_sum_[static_cast<size_t>(p)];
+      const long double sqsum_p = prefix_sqsum_[static_cast<size_t>(p)];
+      ScanEndpoints(
+          queue, end,
+          [&](size_t idx) {
+            return SqErrorFromPrefixes(queue.sum[idx], queue.sqsum[idx], sum_p,
+                                       sqsum_p, p - queue.p[idx]);
+          },
+          &best, &best_boundary);
+    } else {
+      ScanEndpoints(
+          queue, end,
+          [&](size_t idx) { return maxabs_cost_->Cost(queue.p[idx], p); },
+          &best, &best_boundary);
     }
     result = Eval{best, best_boundary};
   }
@@ -126,10 +161,19 @@ FixedWindowHistogram::Eval FixedWindowHistogram::EvalHerror(int64_t p,
 }
 
 void FixedWindowHistogram::CreateList(int64_t a, int64_t b, int64_t k) {
-  auto& queue = queues_[static_cast<size_t>(k - 1)];
+  EndpointQueue& queue = queues_[static_cast<size_t>(k - 1)];
+  const bool sse = options_.metric == WindowErrorMetric::kSse;
+  auto push = [&](int64_t endpoint) {
+    queue.p.push_back(endpoint);
+    queue.herror.push_back(EvalHerror(endpoint, k).herror);
+    if (sse) {
+      queue.sum.push_back(prefix_sum_[static_cast<size_t>(endpoint)]);
+      queue.sqsum.push_back(prefix_sqsum_[static_cast<size_t>(endpoint)]);
+    }
+  };
   while (a <= b) {
     if (a == b) {
-      queue.push_back(QueueEntry{a, EvalHerror(a, k).herror});
+      push(a);
       return;
     }
     const double t = EvalHerror(a, k).herror;
@@ -147,17 +191,26 @@ void FixedWindowHistogram::CreateList(int64_t a, int64_t b, int64_t k) {
         hi = mid - 1;
       }
     }
-    queue.push_back(QueueEntry{lo, EvalHerror(lo, k).herror});
+    push(lo);
     a = lo + 1;
   }
 }
 
 void FixedWindowHistogram::Rebuild() {
+  if (memo_.empty()) {
+    // Sized on the first rebuild: a live window whose histograms are only
+    // ever built from frozen copies (the engine's lazy snapshot sections)
+    // never holds the (B+1) * (n+1)-slot table.
+    const size_t memo_slots = static_cast<size_t>(options_.num_buckets + 1) *
+                              static_cast<size_t>(options_.window_size + 1);
+    memo_.resize(memo_slots);
+    memo_epoch_.assign(memo_slots, 0);
+  }
   if (++epoch_ == 0) {  // wrapped: every stale stamp must be invalidated
     std::fill(memo_epoch_.begin(), memo_epoch_.end(), 0u);
     epoch_ = 1;
   }
-  for (auto& q : queues_) q.clear();
+  for (auto& q : queues_) q.Clear();
   last_herror_evals_ = 0;
   dirty_ = false;
 
@@ -171,6 +224,10 @@ void FixedWindowHistogram::Rebuild() {
     // O(n log n) sparse min/max tables over the current window, giving O(1)
     // bucket costs during the rebuild.
     maxabs_cost_.emplace(window_.ToVector());
+  } else {
+    // O(n) flat copy of the ring's prefix sums, so no bucket cost during
+    // the rebuild maps a logical index through the ring.
+    window_.CopyPrefixSums(&prefix_sum_, &prefix_sqsum_);
   }
   for (int64_t k = 1; k < options_.num_buckets; ++k) {
     CreateList(1, m, k);
@@ -240,7 +297,7 @@ std::vector<double> FixedWindowHistogram::BucketErrors() {
 
 int64_t FixedWindowHistogram::last_total_intervals() const {
   int64_t total = 0;
-  for (const auto& q : queues_) total += static_cast<int64_t>(q.size());
+  for (const auto& q : queues_) total += static_cast<int64_t>(q.p.size());
   return total;
 }
 
@@ -248,8 +305,10 @@ int64_t FixedWindowHistogram::MemoryBytes() const {
   size_t bytes = window_.MemoryBytes();
   bytes += memo_.capacity() * sizeof(Eval);
   bytes += memo_epoch_.capacity() * sizeof(uint32_t);
-  bytes += queues_.capacity() * sizeof(std::vector<QueueEntry>);
-  for (const auto& q : queues_) bytes += q.capacity() * sizeof(QueueEntry);
+  bytes += (prefix_sum_.capacity() + prefix_sqsum_.capacity()) *
+           sizeof(long double);
+  bytes += queues_.capacity() * sizeof(EndpointQueue);
+  for (const auto& q : queues_) bytes += q.MemoryBytes();
   if (cached_histogram_.has_value()) {
     bytes += static_cast<size_t>(cached_histogram_->num_buckets()) *
              sizeof(Bucket);

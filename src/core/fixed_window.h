@@ -138,7 +138,8 @@ class FixedWindowHistogram {
   const FixedWindowOptions& options() const { return options_; }
 
   /// Approximate heap footprint in bytes — the window buffers plus the
-  /// interval lists and memo table (for the memory governor).
+  /// prefix snapshot, interval lists and memo table (for the memory
+  /// governor).
   int64_t MemoryBytes() const;
 
  private:
@@ -148,12 +149,23 @@ class FixedWindowHistogram {
     double herror;
     int64_t boundary;  // start of the last bucket in the minimizing split
   };
-  struct QueueEntry {
-    int64_t p;  // prefix length (interval endpoint b_l)
-    double herror;
+  // One level's interval endpoints in increasing p, as parallel columns so
+  // EvalHerror's backward scan reads contiguous memory. `sum`/`sqsum` hold
+  // the window's prefix sums at each endpoint (SSE metric only): the scan
+  // prices the bucket [p_e, p) without looking p_e up again.
+  struct EndpointQueue {
+    std::vector<int64_t> p;  // prefix length (interval endpoint b_l)
+    std::vector<double> herror;
+    std::vector<long double> sum;
+    std::vector<long double> sqsum;
+
+    void Clear();
+    size_t MemoryBytes() const;
   };
 
   /// Bucket cost of window positions [i, j) under the configured metric.
+  /// Valid only while the interval structure is current (the SSE metric
+  /// reads the prefix snapshot taken by Rebuild).
   double BucketCostOf(int64_t i, int64_t j) const;
   /// Optimal representative of [i, j) under the configured metric.
   double RepresentativeOf(int64_t i, int64_t j) const;
@@ -162,6 +174,14 @@ class FixedWindowHistogram {
   /// level-(k-1) interval endpoints plus the recursive candidate (p-1, k-1)
   /// that covers positions inside the endpoint's own interval.
   Eval EvalHerror(int64_t p, int64_t k);
+
+  /// Lowers `best` over the queue's endpoints below index `end`, scanning
+  /// backwards until the last bucket's cost `span_cost(idx)` alone reaches
+  /// it.
+  template <typename SpanCost>
+  static void ScanEndpoints(const EndpointQueue& queue, size_t end,
+                            SpanCost span_cost, double* best,
+                            int64_t* best_boundary);
 
   /// Builds the level-k interval list over prefix lengths [a, b] (paper's
   /// CreateList, iterative form).
@@ -180,11 +200,17 @@ class FixedWindowHistogram {
   // Sparse min/max tables over the current window contents; only populated
   // (during Rebuild) when metric == kMaxAbs.
   std::optional<MaxAbsBucketCost> maxabs_cost_;
+  // The window's prefix sums in logical order, entry i = totals before
+  // index i (SlidingWindow::CopyPrefixSums); only populated (during
+  // Rebuild) when metric == kSse.
+  std::vector<long double> prefix_sum_;
+  std::vector<long double> prefix_sqsum_;
 
   // queues_[k-1]: level-k interval endpoints, increasing p, k in [1, B-1].
-  std::vector<std::vector<QueueEntry>> queues_;
+  std::vector<EndpointQueue> queues_;
   // Flat memo table over (k, p), invalidated wholesale by bumping the epoch
-  // instead of clearing ((B+1) * (n+1) slots).
+  // instead of clearing ((B+1) * (n+1) slots, allocated by the first
+  // Rebuild).
   std::vector<Eval> memo_;
   std::vector<uint32_t> memo_epoch_;
   uint32_t epoch_ = 0;

@@ -9,6 +9,22 @@
 
 namespace streamhist {
 
+/// SQERROR of the half-open bucket between two prefix positions, from the
+/// shifted prefix sums at its begin and end: SQSUM - SUM^2 / width, clamped
+/// at zero, and 0 for width <= 1. Every long-double SQERROR in the library —
+/// PrefixSums, SlidingWindow, the agglomerative and fixed-window scans —
+/// goes through this one definition, so equal operands round identically
+/// wherever they are evaluated.
+inline double SqErrorFromPrefixes(long double sum_begin,
+                                  long double sqsum_begin, long double sum_end,
+                                  long double sqsum_end, int64_t width) {
+  if (width <= 1) return 0.0;
+  const long double s = sum_end - sum_begin;
+  const long double q = sqsum_end - sqsum_begin;
+  const long double err = q - s * s / static_cast<long double>(width);
+  return err > 0.0L ? static_cast<double>(err) : 0.0;
+}
+
 /// Prefix sums and sums-of-squares over a finite sequence, supporting O(1)
 /// bucket statistics. This is the paper's SUM / SQSUM pair (equation 3):
 /// for a bucket the squared error under the mean representative is
@@ -63,14 +79,10 @@ class PrefixSums {
   /// SSE of representing values[i..j) by their mean; 0 for empty ranges.
   double SqError(int64_t i, int64_t j) const {
     STREAMHIST_DCHECK(0 <= i && i <= j && j <= size());
-    if (j - i <= 1) return 0.0;
     // Shift-invariant: evaluate on the shifted values directly.
-    const long double s =
-        sum_[static_cast<size_t>(j)] - sum_[static_cast<size_t>(i)];
-    const long double q =
-        sqsum_[static_cast<size_t>(j)] - sqsum_[static_cast<size_t>(i)];
-    const long double err = q - s * s / static_cast<long double>(j - i);
-    return err > 0.0L ? static_cast<double>(err) : 0.0;
+    return SqErrorFromPrefixes(
+        sum_[static_cast<size_t>(i)], sqsum_[static_cast<size_t>(i)],
+        sum_[static_cast<size_t>(j)], sqsum_[static_cast<size_t>(j)], j - i);
   }
 
  private:

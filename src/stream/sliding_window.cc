@@ -1,7 +1,9 @@
 #include "src/stream/sliding_window.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "src/stream/prefix_sums.h"
 #include "src/util/framing.h"
 #include "src/util/logging.h"
 
@@ -112,11 +114,25 @@ double SlidingWindow::Mean(int64_t i, int64_t j) const {
 
 double SlidingWindow::SqError(int64_t i, int64_t j) const {
   STREAMHIST_DCHECK(0 <= i && i <= j && j <= size_);
-  if (j - i <= 1) return 0.0;
-  const long double s = CumSum(j - 1) - CumSumBefore(i);
-  const long double q = CumSqSum(j - 1) - CumSqSumBefore(i);
-  const long double err = q - s * s / static_cast<long double>(j - i);
-  return err > 0.0L ? static_cast<double>(err) : 0.0;
+  return SqErrorFromPrefixes(CumSumBefore(i), CumSqSumBefore(i),
+                             CumSumBefore(j), CumSqSumBefore(j), j - i);
+}
+
+void SlidingWindow::CopyPrefixSums(std::vector<long double>* sum,
+                                   std::vector<long double>* sqsum) const {
+  sum->resize(static_cast<size_t>(size_) + 1);
+  sqsum->resize(static_cast<size_t>(size_) + 1);
+  (*sum)[0] = base_sum_;
+  (*sqsum)[0] = base_sqsum_;
+  // CumSumBefore(i + 1) is the slot of logical index i: the live slots run
+  // from head_ to the end of the ring, then wrap to slot 0.
+  const int64_t first = std::min(size_, capacity_ - head_);
+  const auto head = static_cast<std::ptrdiff_t>(head_);
+  const auto wrapped = static_cast<std::ptrdiff_t>(size_ - first);
+  std::copy_n(cum_sum_.begin() + head, first, sum->begin() + 1);
+  std::copy_n(cum_sqsum_.begin() + head, first, sqsum->begin() + 1);
+  std::copy_n(cum_sum_.begin(), wrapped, sum->begin() + 1 + first);
+  std::copy_n(cum_sqsum_.begin(), wrapped, sqsum->begin() + 1 + first);
 }
 
 std::string SlidingWindow::Serialize() const {

@@ -69,6 +69,15 @@ class SlidingWindow {
   /// SSE of representing window values [i, j) by their mean (clamped >= 0).
   double SqError(int64_t i, int64_t j) const;
 
+  /// Fills `sum` and `sqsum` with the window's shifted prefix sums in
+  /// logical order: entry i (i in [0, size()]) holds the totals before
+  /// logical index i, the exact long doubles Sum/SqError read. A consumer
+  /// that evaluates many buckets over an unchanging window (the fixed-window
+  /// CreateList) reads them without the ring's index mapping; pass the two
+  /// to SqErrorFromPrefixes (stream/prefix_sums.h) to get SqError's answer.
+  void CopyPrefixSums(std::vector<long double>* sum,
+                      std::vector<long double>* sqsum) const;
+
   /// Number of O(n) rebases performed so far (exposed for tests/benches).
   int64_t rebase_count() const { return rebase_count_; }
 

@@ -31,13 +31,15 @@ namespace streamhist {
 namespace {
 
 /// Splits "--key value" pairs from args[start..); positional tokens land in
-/// `positional`.
+/// `positional`. -h and --help take no value: they set the "help" flag.
 std::map<std::string, std::string> ParseFlags(
     const std::vector<std::string>& args, size_t start,
     std::vector<std::string>& positional) {
   std::map<std::string, std::string> flags;
   for (size_t i = start; i < args.size(); ++i) {
-    if (args[i].rfind("--", 0) == 0 && i + 1 < args.size()) {
+    if (args[i] == "-h" || args[i] == "--help") {
+      flags["help"] = "";
+    } else if (args[i].rfind("--", 0) == 0 && i + 1 < args.size()) {
       flags[args[i].substr(2)] = args[i + 1];
       ++i;
     } else {
@@ -47,9 +49,10 @@ std::map<std::string, std::string> ParseFlags(
   return flags;
 }
 
-int Usage(std::ostream& err) {
-  err << "usage: streamhist_tool"
+void PrintUsage(std::ostream& out) {
+  out << "usage: streamhist_tool"
          " <generate|build|query|inspect|console|serve|wal> [flags]\n"
+         "  -h, --help  print this text and exit, also after a subcommand\n"
          "  generate --kind K --n N [--seed S] --out series.csv\n"
          "  build --input series.csv --buckets B [--epsilon E]\n"
          "        [--algorithm vopt|agglomerative|greedy|equiwidth|maxdiff]\n"
@@ -105,6 +108,10 @@ int Usage(std::ostream& err) {
          "        interior corruption (fsynced bytes rotted), 3 when the\n"
          "        only damage is a torn tail (normal crash residue that\n"
          "        recovery truncates).\n";
+}
+
+int Usage(std::ostream& err) {
+  PrintUsage(err);
   return 2;
 }
 
@@ -707,6 +714,10 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   std::vector<std::string> positional;
   const std::map<std::string, std::string> flags =
       ParseFlags(args, 1, positional);
+  if (args[0] == "-h" || args[0] == "--help" || flags.contains("help")) {
+    PrintUsage(out);
+    return 0;
+  }
   if (args[0] == "generate") return Generate(flags, out, err);
   if (args[0] == "build") return Build(flags, out, err);
   if (args[0] == "query") return Query(flags, positional, out, err);

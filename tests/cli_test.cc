@@ -11,6 +11,7 @@
 #include "src/engine/query_engine.h"
 #include "src/util/random.h"
 #include "src/util/wal.h"
+#include "test_dir.h"
 
 namespace streamhist {
 namespace {
@@ -30,11 +31,12 @@ CliResult RunTool(std::vector<std::string> args) {
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
-    csv_ = dir_ + "/series.csv";
-    hist_ = dir_ + "/hist.bin";
+    dir_ = scratch_.path();
+    csv_ = scratch_.File("series.csv");
+    hist_ = scratch_.File("hist.bin");
   }
 
+  ScopedTestDir scratch_;
   std::string dir_, csv_, hist_;
 };
 
@@ -42,6 +44,28 @@ TEST_F(CliTest, UsageOnNoArgs) {
   const CliResult r = RunTool({});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("usage:"), std::string::npos);
+}
+
+// -h/--help take no value: after any subcommand, and among its flags, they
+// print the usage to stdout and exit 0 instead of running the subcommand
+// (serve and console would otherwise block reading statements from stdin).
+TEST_F(CliTest, HelpPrintsUsageAndExits) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"--help"},
+           {"-h"},
+           {"serve", "--help"},
+           {"serve", "-h"},
+           {"serve", "--help", "--threads", "2"},
+           {"serve", "--threads", "2", "--help"},
+           {"console", "--help"},
+           {"build", "-h"},
+           {"wal", "verify", "--help"}}) {
+    const CliResult r = RunTool(args);
+    EXPECT_EQ(r.code, 0) << args[0];
+    EXPECT_NE(r.out.find("usage:"), std::string::npos) << args[0];
+    EXPECT_TRUE(r.err.empty()) << r.err;
+  }
 }
 
 TEST_F(CliTest, UnknownSubcommand) {

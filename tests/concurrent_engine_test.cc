@@ -17,6 +17,7 @@
 
 #include "src/engine/query_engine.h"
 #include "src/util/deadline.h"
+#include "test_dir.h"
 
 namespace streamhist {
 namespace {
@@ -277,7 +278,8 @@ TEST(ConcurrentEngineTest, ConcurrentCreateHasExactlyOneWinner) {
 // SAVE racing APPEND: every checkpoint written mid-traffic is loadable, and
 // the restored stream is a coherent point-in-time image.
 TEST(ConcurrentEngineTest, CheckpointUnderConcurrentAppendsIsLoadable) {
-  const std::string path = ::testing::TempDir() + "/concurrent.ckpt";
+  const ScopedTestDir scratch;
+  const std::string path = scratch.File("concurrent.ckpt");
   QueryEngine engine;
   ASSERT_TRUE(engine.CreateStream("s", SmallConfig(32, 4)).ok());
 
@@ -316,7 +318,8 @@ TEST(ConcurrentEngineTest, CheckpointUnderConcurrentAppendsIsLoadable) {
 // LOAD replaces the registry while readers hold handles into the old one;
 // the old handles keep answering from the pre-LOAD world.
 TEST(ConcurrentEngineTest, LoadSwapsRegistryUnderLiveHandles) {
-  const std::string path = ::testing::TempDir() + "/swap.ckpt";
+  const ScopedTestDir scratch;
+  const std::string path = scratch.File("swap.ckpt");
   QueryEngine engine;
   ASSERT_TRUE(engine.CreateStream("s", SmallConfig(8, 4)).ok());
   ASSERT_TRUE(engine.AppendBatch("s", std::vector<double>{5, 5, 5}).ok());

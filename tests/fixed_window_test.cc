@@ -1,6 +1,12 @@
 #include "src/core/fixed_window.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +14,7 @@
 #include "src/core/bucket_cost.h"
 #include "src/core/vopt_dp.h"
 #include "src/data/generators.h"
+#include "src/engine/query_engine.h"
 #include "src/util/random.h"
 
 namespace streamhist {
@@ -269,6 +276,226 @@ INSTANTIATE_TEST_SUITE_P(
                       GuaranteeCase{"piecewise", 96, 6, 0.2, 22},
                       GuaranteeCase{"zipf", 64, 4, 1.0, 23},
                       GuaranteeCase{"utilization", 128, 8, 0.5, 24}));
+
+// --- Golden bit-identity pins ---
+//
+// CreateList's answers are a deterministic function of the window contents:
+// the same long-double prefix sums, the same SQERROR formula and the same
+// lazy, memoised evaluation order give the same HERROR values, boundaries,
+// representatives and evaluation counts. These pins record them bit for bit,
+// so a kernel change that alters any operand, operation or evaluation order
+// fails here even when the (1+eps) guarantee tests above still pass.
+
+// Level-plus-noise in whole cents: levels in [10, 90] held for 60-180
+// points, uniform noise of +-2.50 (the shape of the benchmark's streams).
+std::vector<double> LevelPlusNoise(int64_t n, uint64_t seed) {
+  Random rng(seed);
+  std::vector<double> out;
+  out.reserve(static_cast<size_t>(n));
+  while (static_cast<int64_t>(out.size()) < n) {
+    const int64_t level = rng.UniformInt(1000, 9000);
+    const int64_t hold = rng.UniformInt(60, 180);
+    for (int64_t i = 0; i < hold && static_cast<int64_t>(out.size()) < n;
+         ++i) {
+      out.push_back(static_cast<double>(level + rng.UniformInt(-250, 250)) /
+                    100.0);
+    }
+  }
+  return out;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Everything a rebuild decides, rendered as one string so a mismatch prints
+// the whole actual fingerprint next to the pinned one.
+std::string Fingerprint(FixedWindowHistogram& fw) {
+  const double approx = fw.ApproxError();
+  const int64_t rebuild_evals = fw.last_herror_evals();
+  const int64_t intervals = fw.last_total_intervals();
+  const Histogram& h = fw.Extract();
+  // FNV-1a over the representatives' bit patterns.
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const Bucket& b : h.buckets()) {
+    uint64_t bits = Bits(b.value);
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= bits & 0xff;
+      digest *= 0x100000001b3ULL;
+      bits >>= 8;
+    }
+  }
+  std::ostringstream out;
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(Bits(approx)));
+  out << "error=" << hex << " evals=" << rebuild_evals << "/"
+      << fw.last_herror_evals() << " intervals=" << intervals
+      << " bounds=";
+  for (const Bucket& b : h.buckets()) out << b.begin << ",";
+  out << (h.buckets().empty() ? 0 : h.buckets().back().end);
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(digest));
+  out << " reps=" << hex;
+  return out.str();
+}
+
+FixedWindowOptions GoldenOptions(
+    int64_t window, int64_t buckets, double epsilon,
+    WindowErrorMetric metric = WindowErrorMetric::kSse) {
+  FixedWindowOptions options;
+  options.window_size = window;
+  options.num_buckets = buckets;
+  options.epsilon = epsilon;
+  options.rebuild_on_append = false;  // one rebuild, as FromContents does
+  options.metric = metric;
+  return options;
+}
+
+struct GoldenCase {
+  const char* name;
+  FixedWindowOptions options;
+  std::function<void(FixedWindowHistogram&)> feed;
+  const char* pinned;
+};
+
+// Each case feeds its window, then pins everything its rebuild decides.
+TEST(FixedWindowGoldenTest, RebuildAnswersAreBitIdentical) {
+  FixedWindowOptions eager = GoldenOptions(64, 4, 0.2);
+  eager.rebuild_on_append = true;  // rebuilt after every one of the appends
+  const GoldenCase cases[] = {
+      {"level_noise_n1024_b16", GoldenOptions(1024, 16, 0.1),
+       [](FixedWindowHistogram& fw) {
+         fw.AppendBatch(LevelPlusNoise(1536, 1));
+       },
+       "error=40a094d75f99b1f8 evals=15271/15271 intervals=7446 "
+       "bounds=0,66,86,223,228,291,300,320,430,574,698,805,815,822,880,999,"
+       "1024 reps=1b6006314c4b4a79"},
+      {"near_1e9_tiny_variance", GoldenOptions(512, 8, 0.1),
+       [](FixedWindowHistogram& fw) {
+         Random rng(2);
+         for (int i = 0; i < 700; ++i) {
+           const double level = i < 350 ? 1e9 : 1e9 + 5e-3;
+           fw.Append(level + rng.Gaussian(0.0, 1e-3));
+         }
+       },
+       "error=3f3e829562b7d28a evals=3557/3557 intervals=1507 "
+       "bounds=0,28,30,75,111,162,215,232,512 reps=3e65bd2c04206f90"},
+      {"ramp_with_spikes", GoldenOptions(512, 16, 0.2),
+       [](FixedWindowHistogram& fw) {
+         for (int i = 0; i < 800; ++i) {
+           fw.Append(i % 97 == 13 ? 1000.0 : 0.5 * i);
+         }
+       },
+       "error=40e8cbf400000000 evals=7603/7603 intervals=4164 "
+       "bounds=0,16,17,113,114,162,210,211,259,307,308,404,405,453,501,502,"
+       "512 reps=142d0bd2dbb5adba"},
+      {"constant_runs", GoldenOptions(256, 6, 0.1),
+       [](FixedWindowHistogram& fw) {
+         const double levels[] = {3.0, -7.0, 3.0, 42.0, 0.0, 11.0};
+         for (int i = 0; i < 300; ++i) fw.Append(levels[(i / 45) % 6]);
+       },
+       "error=405874de9bd37a6f evals=655/655 intervals=312 "
+       "bounds=0,46,91,136,181,226,256 reps=54f8a56fbeddda65"},
+      {"partial_window", GoldenOptions(1024, 16, 0.1),
+       [](FixedWindowHistogram& fw) {
+         fw.AppendBatch(LevelPlusNoise(300, 3));
+       },
+       "error=407b8cbce28ed8a8 evals=4425/4425 intervals=2960 "
+       "bounds=0,15,63,65,78,84,122,124,145,152,153,164,167,188,193,196,300 "
+       "reps=604769e181c20bb7"},
+      {"at_rebase_boundary", GoldenOptions(256, 8, 0.1),
+       [](FixedWindowHistogram& fw) {
+         fw.AppendBatch(LevelPlusNoise(512, 4));  // the second rebase: 512
+       },
+       "error=407d5eba0f6f4780 evals=1779/1779 intervals=1070 "
+       "bounds=0,13,22,47,83,220,228,248,256 reps=5e543f217c2e0c6a"},
+      {"past_rebase_boundary", GoldenOptions(256, 8, 0.1),
+       [](FixedWindowHistogram& fw) {
+         fw.AppendBatch(LevelPlusNoise(512 + 37, 4));
+       },
+       "error=407ea1d2ea94018c evals=1781/1781 intervals=1048 "
+       "bounds=0,39,46,183,191,211,249,254,256 reps=77ca372bf5f1480f"},
+      {"after_evict_oldest", GoldenOptions(256, 8, 0.1),
+       [](FixedWindowHistogram& fw) {
+         fw.AppendBatch(LevelPlusNoise(400, 5));
+         for (int i = 0; i < 100; ++i) fw.EvictOldest();
+       },
+       "error=40728116abbdef59 evals=1081/1081 intervals=718 "
+       "bounds=0,74,89,91,120,126,134,140,156 reps=bb6c7f4010a625c5"},
+      {"maxabs", GoldenOptions(256, 8, 0.1, WindowErrorMetric::kMaxAbs),
+       [](FixedWindowHistogram& fw) {
+         fw.AppendBatch(LevelPlusNoise(400, 6));
+       },
+       "error=4021e3d70a3d70a4 evals=1346/1346 intervals=189 "
+       "bounds=0,2,3,4,5,16,152,219,256 reps=54ed4d1f9da7e450"},
+      {"buckets_1", GoldenOptions(512, 1, 0.1),
+       [](FixedWindowHistogram& fw) {
+         fw.AppendBatch(LevelPlusNoise(700, 7));
+       },
+       "error=410261209fb0f27c evals=1/1 intervals=0 bounds=0,512 "
+       "reps=f9547fcd95317e8f"},
+      {"buckets_2", GoldenOptions(512, 2, 0.1),
+       [](FixedWindowHistogram& fw) {
+         fw.AppendBatch(LevelPlusNoise(700, 7));
+       },
+       "error=40dc2dbe366cecc0 evals=439/439 intervals=180 "
+       "bounds=0,252,512 reps=ceb72d137941d0a6"},
+      {"buckets_16", GoldenOptions(512, 16, 0.1),
+       [](FixedWindowHistogram& fw) {
+         fw.AppendBatch(LevelPlusNoise(700, 7));
+       },
+       "error=408d63552c73af0f evals=7603/7603 intervals=4545 "
+       "bounds=0,50,110,155,200,214,223,252,309,322,327,330,370,400,414,496,"
+       "512 reps=554c0d75d74c9015"},
+      {"eager_rebuild", eager,
+       [](FixedWindowHistogram& fw) {
+         for (double v : LevelPlusNoise(200, 8)) fw.Append(v);
+       },
+       "error=405d2f7f32515a51 evals=191/191 intervals=130 "
+       "bounds=0,26,32,33,64 reps=362e918fe2252394"},
+  };
+  for (const GoldenCase& c : cases) {
+    FixedWindowHistogram fw = FixedWindowHistogram::Create(c.options).value();
+    c.feed(fw);
+    EXPECT_EQ(Fingerprint(fw), c.pinned) << c.name;
+  }
+}
+
+// The engine's read-after-write path: each APPEND invalidates the published
+// window section, and the next ERROR/SHOW rebuilds it from the frozen
+// contents (WindowSection::Materialize).
+TEST(FixedWindowGoldenTest, EngineReadAfterWriteIsBitIdentical) {
+  QueryEngine engine;
+  ASSERT_TRUE(engine.Execute("CREATE s 1024 16").ok());
+  const std::vector<double> values = LevelPlusNoise(1536 + 8, 9);
+  auto append = [&](size_t begin, size_t end) {
+    std::ostringstream statement;
+    statement << "APPEND s";
+    for (size_t i = begin; i < end; ++i) statement << " " << values[i];
+    ASSERT_TRUE(engine.Execute(statement.str()).ok());
+  };
+  for (size_t i = 0; i < 1536; i += 64) append(i, i + 64);
+  std::vector<std::string> replies;
+  for (size_t i = 1536; i < values.size(); i += 4) {
+    append(i, i + 4);
+    replies.push_back(engine.Execute("ERROR s").value());
+    replies.push_back(engine.Execute("SHOW s").value());
+  }
+  const std::vector<std::string> pinned = {
+      "1960.60322614",
+      "[0,27)=34.9563 [27,38)=33.2891 [38,86)=34.7338 [86,250)=16.263 "
+      "[250,332)=21.2298 [332,338)=23.0117 [338,340)=19.365 "
+      "[340,344)=23.2125 [344,380)=21.0117 [380,393)=64.0585 "
+      "[393,480)=65.0477 [480,601)=55.2107 [601,698)=52.5937 "
+      "[698,856)=68.8315 [856,923)=56.263 [923,1024)=29.2747",
+      "1963.64727113",
+      "[0,23)=34.9178 [23,34)=33.2891 [34,82)=34.7338 [82,246)=16.263 "
+      "[246,328)=21.2298 [328,334)=23.0117 [334,336)=19.365 "
+      "[336,340)=23.2125 [340,376)=21.0117 [376,389)=64.0585 "
+      "[389,476)=65.0477 [476,597)=55.2107 [597,694)=52.5937 "
+      "[694,852)=68.8315 [852,919)=56.263 [919,1024)=29.2778",
+  };
+  EXPECT_EQ(replies, pinned);
+}
 
 }  // namespace
 }  // namespace streamhist

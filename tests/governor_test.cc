@@ -22,6 +22,7 @@
 #include "src/util/deadline.h"
 #include "src/util/fault.h"
 #include "src/util/governor.h"
+#include "src/util/random.h"
 
 namespace streamhist {
 namespace {
@@ -498,6 +499,39 @@ TEST_F(GovernorTest, EstimateFootprintScalesWithWindow) {
   EXPECT_GT(ManagedStream::EstimateFootprintBytes(large),
             ManagedStream::EstimateFootprintBytes(small));
   EXPECT_GT(ManagedStream::EstimateFootprintBytes(small), 0);
+}
+
+// CREATE admission charges the estimate before anything is allocated, so
+// it must cover what the stream holds once its window has filled and
+// Refresh has built the interval lists (memo, prefix snapshot, interval
+// lists with their inline prefix sums, lifetime lists).
+TEST_F(GovernorTest, EstimateCoversFootprintAfterRefresh) {
+  for (const int64_t window : {int64_t{1024}, int64_t{8192}}) {
+    StreamConfig config;
+    config.window_size = window;
+    config.num_buckets = 16;
+    ManagedStream stream = ManagedStream::Create(config).value();
+    // Level-plus-noise in whole cents: levels held for 60-180 points.
+    Random rng(static_cast<uint64_t>(window));
+    std::vector<double> values;
+    while (static_cast<int64_t>(values.size()) < 2 * window) {
+      const int64_t level = rng.UniformInt(1000, 9000);
+      const int64_t hold = rng.UniformInt(60, 180);
+      for (int64_t i = 0; i < hold; ++i) {
+        values.push_back(
+            static_cast<double>(level + rng.UniformInt(-250, 250)) / 100.0);
+      }
+    }
+    stream.AppendBatch(values);
+    stream.Refresh();
+    EXPECT_GE(ManagedStream::EstimateFootprintBytes(config),
+              stream.MemoryBytes())
+        << "window " << window;
+  }
+  // A tiny epsilon caps each level at n endpoints instead of overflowing.
+  StreamConfig tiny;
+  tiny.epsilon = 1e-300;
+  EXPECT_GT(ManagedStream::EstimateFootprintBytes(tiny), 0);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "src/engine/query_engine.h"
+#include "test_dir.h"
 
 namespace streamhist {
 namespace {
@@ -120,7 +121,8 @@ TEST(PublicationTest, SavePublishesPendingAppends) {
   ASSERT_TRUE(engine.CreateStream("s", config).ok());
   ASSERT_TRUE(engine.Execute("APPEND s 1 2 3").ok());
   EXPECT_EQ(SnapshotPoints(engine, "s"), 0);
-  const std::string path = ::testing::TempDir() + "/publication_test.shcp";
+  const ScopedTestDir scratch;
+  const std::string path = scratch.File("publication_test.shcp");
   ASSERT_TRUE(engine.SaveCheckpoint(path).ok());
   EXPECT_EQ(SnapshotPoints(engine, "s"), 3);
   // And the checkpoint itself carries the flushed state.

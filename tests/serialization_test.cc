@@ -24,6 +24,7 @@
 #include "src/util/framing.h"
 #include "src/util/random.h"
 #include "src/util/wal.h"
+#include "test_dir.h"
 
 namespace streamhist {
 namespace {
@@ -714,8 +715,8 @@ std::string WalDirWithSegment(const std::string& name,
 
 // A well-formed segment image holding `records` one-byte payload records.
 std::string SampleSegmentBytes(int records) {
-  const std::string dir = ::testing::TempDir() + "/wal_sample_src";
-  std::filesystem::remove_all(dir);
+  const ScopedTestDir scratch;
+  const std::string dir = scratch.File("wal_sample_src");
   wal::Options options;
   options.policy = wal::SyncPolicy::kNone;
   auto log = wal::Wal::Open(dir, options, nullptr);

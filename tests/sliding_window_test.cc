@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/stream/prefix_sums.h"
 #include "src/stream/sources.h"
 #include "src/util/random.h"
 
@@ -74,6 +75,32 @@ TEST(SlidingWindowTest, SqErrorMatchesBruteForce) {
         double sse = 0.0;
         for (int64_t k = i; k < j; ++k) sse += (w[k] - mean) * (w[k] - mean);
         EXPECT_NEAR(w.SqError(i, j), sse, 1e-7);
+      }
+    }
+  }
+}
+
+// The flat copy holds the ring's own long doubles in logical order, so
+// every bucket priced from it equals SqError bit for bit — with the live
+// slots wrapped around the ring, after evictions, and across rebases.
+TEST(SlidingWindowTest, CopiedPrefixSumsReproduceSqErrorExactly) {
+  SlidingWindow w(13);
+  Random rng(5);
+  std::vector<long double> sum, sqsum;
+  for (int step = 0; step < 60; ++step) {
+    w.Append(rng.UniformDouble(-50.0, 50.0));
+    if (step % 7 == 3) w.EvictOldest();
+    w.CopyPrefixSums(&sum, &sqsum);
+    ASSERT_EQ(static_cast<int64_t>(sum.size()), w.size() + 1);
+    ASSERT_EQ(static_cast<int64_t>(sqsum.size()), w.size() + 1);
+    for (int64_t i = 0; i <= w.size(); ++i) {
+      for (int64_t j = i; j <= w.size(); ++j) {
+        const auto b = static_cast<size_t>(i);
+        const auto e = static_cast<size_t>(j);
+        EXPECT_EQ(SqErrorFromPrefixes(sum[b], sqsum[b], sum[e], sqsum[e],
+                                      j - i),
+                  w.SqError(i, j))
+            << "step " << step << " [" << i << ", " << j << ")";
       }
     }
   }

@@ -12,6 +12,7 @@
 #include "src/util/result.h"
 #include "src/util/status.h"
 #include "src/util/timer.h"
+#include "test_dir.h"
 
 namespace streamhist {
 namespace {
@@ -157,7 +158,8 @@ TEST(TimerTest, MeasuresElapsedTime) {
 }
 
 TEST(IoTest, CsvRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/series.csv";
+  const ScopedTestDir scratch;
+  const std::string path = scratch.File("series.csv");
   const std::vector<double> data{1.5, -2.25, 1e6, 0.0};
   ASSERT_TRUE(WriteSeriesCsv(path, data).ok());
   auto back = ReadSeriesCsv(path);
@@ -169,7 +171,8 @@ TEST(IoTest, CsvRoundTrip) {
 }
 
 TEST(IoTest, SkipsCommentsAndTakesFirstColumn) {
-  const std::string path = ::testing::TempDir() + "/commented.csv";
+  const ScopedTestDir scratch;
+  const std::string path = scratch.File("commented.csv");
   {
     std::ofstream out(path);
     out << "# header\n1.5,extra\n\n2.5\n";
@@ -186,7 +189,8 @@ TEST(IoTest, MissingFileIsIOError) {
 }
 
 TEST(IoTest, GarbageLineIsInvalidArgument) {
-  const std::string path = ::testing::TempDir() + "/garbage.csv";
+  const ScopedTestDir scratch;
+  const std::string path = scratch.File("garbage.csv");
   {
     std::ofstream out(path);
     out << "1.0\nnot-a-number\n";
