@@ -14,7 +14,46 @@ namespace streamhist {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Unit roundoffs of the scan's double arithmetic and of the long-double
+// running sums (the skip margin in Append).
+constexpr double kUnitDouble = std::numeric_limits<double>::epsilon() / 2;
+constexpr double kUnitLongDouble =
+    static_cast<double>(std::numeric_limits<long double>::epsilon() / 2);
+// The scan's block length, and the length of the fixed blocks whose herror
+// minima EndpointQueue keeps.
+constexpr size_t kScanBlock = 64;
+
+// SSE of the bucket from a cached endpoint (p, sum, sqsum) to the current
+// totals, in doubles and clamped at 0: the scan's one span formula.
+inline double ScanSpan(double dn, double dsum, double dsq, double p,
+                       double sum, double sqsum) {
+  const double w = dn - p;
+  const double sdiff = dsum - sum;
+  const double qdiff = dsq - sqsum;
+  const double span = qdiff - sdiff * sdiff / w;
+  return span > 0.0 ? span : 0.0;
+}
 }  // namespace
+
+void AgglomerativeHistogram::EndpointQueue::Push(int64_t at, double h,
+                                                 long double s,
+                                                 long double q) {
+  if (p.size() % kScanBlock == 0) block_min_herror.push_back(kInf);
+  double& block_min = block_min_herror.back();
+  if (h < block_min) block_min = h;  // a NaN herror never lowers it
+  p.push_back(static_cast<double>(at));
+  herror.push_back(h);
+  sum.push_back(static_cast<double>(s));
+  sqsum.push_back(static_cast<double>(q));
+  exact.push_back(Entry{.sum = s, .sqsum = q});
+}
+
+size_t AgglomerativeHistogram::EndpointQueue::MemoryBytes() const {
+  return (p.capacity() + herror.capacity() + sum.capacity() +
+          sqsum.capacity() + block_min_herror.capacity()) *
+             sizeof(double) +
+         exact.capacity() * sizeof(Entry);
+}
 
 Result<AgglomerativeHistogram> AgglomerativeHistogram::Create(
     const ApproxHistogramOptions& options) {
@@ -35,7 +74,6 @@ AgglomerativeHistogram::AgglomerativeHistogram(int64_t num_buckets,
   const size_t levels =
       num_buckets_ > 1 ? static_cast<size_t>(num_buckets_ - 1) : 0;
   queues_.resize(levels);
-  scan_.resize(levels);
   open_start_herror_.assign(levels, 0.0);
   has_open_.assign(levels, false);
   herr_cur_.assign(static_cast<size_t>(num_buckets_) + 1, 0.0);
@@ -64,6 +102,20 @@ void AgglomerativeHistogram::Append(double value) {
   // HERROR[n][1] = SQERROR(0, n).
   herr_cur_[1] = SpanError(0, 0.0L, 0.0L, n, total_sum_, total_sqsum_);
 
+  const double dn = static_cast<double>(n);
+  const double dsum = static_cast<double>(total_sum_);
+  const double dsq = static_cast<double>(total_sqsum_);
+  // How far a computed span may fall below a newer one in the same queue
+  // through rounding, doubled to cover the skip test's own rounding: the
+  // scan's double arithmetic and the rounding of the cached sums
+  // (256 * u_double) and the long-double running sums' accumulation
+  // (16 * u_long_double * (1 + sqrt(n))), all relative to n * SQSUM.
+  // Derivation in DESIGN.md §3.3. Non-finite totals make it NaN or
+  // infinite, which disables skipping.
+  const double skip_slack =
+      dsq * dn *
+      (256.0 * kUnitDouble + 16.0 * kUnitLongDouble * (1.0 + std::sqrt(dn)));
+
   // HERROR[n][k] minimized over snapshotted endpoints of queue k-1 plus the
   // implicit candidate p = n-1 (the open interval's right end, whose prefix
   // sums are the pre-append totals and whose HERROR is last step's value).
@@ -75,40 +127,59 @@ void AgglomerativeHistogram::Append(double value) {
     double best = herr_prev_[static_cast<size_t>(k - 1)] +
                   SpanError(n - 1, prev_sum_, prev_sqsum_, n, total_sum_,
                             total_sqsum_);
-    // Scan the queue from the most recent endpoint backwards: the last
-    // bucket [e.p, n) only widens, so its SpanError is non-decreasing as we
-    // go back, and once it alone reaches the best total no earlier entry can
-    // improve — a prune that keeps the scan near the balance point. This is
-    // the ingest hot loop (thousands of endpoints per append at large n), so
-    // it runs over the dense double ScanCache in fixed-size blocks: spans
-    // for a whole block are computed branch-free, then reduced. Evaluating
-    // a few candidates past the sequential break point cannot change the
-    // minimum (their span alone already reaches best), so blocking only
-    // trades a handful of extra evaluations for a vectorizable body.
-    const ScanCache& cache = scan_[static_cast<size_t>(k - 2)];
-    const double dn = static_cast<double>(n);
-    const double dsum = static_cast<double>(total_sum_);
-    const double dsq = static_cast<double>(total_sqsum_);
-    constexpr size_t kBlock = 64;
-    double spans[kBlock];
-    size_t endi = cache.p.size();
+    // Scan the queue from the most recent endpoint backwards in blocks of
+    // kScanBlock anchored at the newest entry: the last bucket [e.p, n) only
+    // widens, so its span is non-decreasing as we go back, and once the
+    // widest span of a block alone reaches the best total no earlier entry
+    // can improve — a prune that keeps the scan near the balance point.
+    // This is the ingest hot loop (thousands of endpoints per append at
+    // large n), so each block's candidates are computed branch-free into an
+    // array and reduced by independent `a < b ? a : b` accumulators. Every
+    // candidate is >= 0 or NaN (which both forms ignore), so the minimum's
+    // value does not depend on the order: the result is bit-identical to a
+    // sequential `if (cand < best) best = cand` scan of the same blocks.
+    // A block is skipped outright when its minimum herror plus its
+    // narrowest span exceeds best by more than skip_slack (DESIGN.md §3.3):
+    // then no candidate in it can be below best, so a full evaluation would
+    // leave best unchanged. Its widest span is still evaluated for the
+    // stop, so exactly the same blocks are visited as without skipping.
+    const EndpointQueue& queue = queues_[static_cast<size_t>(k - 2)];
+    const double* const qp = queue.p.data();
+    const double* const qsum = queue.sum.data();
+    const double* const qsq = queue.sqsum.data();
+    const double* const qh = queue.herror.data();
+    const double* const block_min = queue.block_min_herror.data();
+    size_t endi = queue.size();
     while (endi > 0) {
-      const size_t begini = endi >= kBlock ? endi - kBlock : 0;
-      const size_t m = endi - begini;
-      for (size_t i = 0; i < m; ++i) {
-        const double w = dn - cache.p[begini + i];
-        const double sdiff = dsum - cache.sum[begini + i];
-        const double qdiff = dsq - cache.sqsum[begini + i];
-        const double span = qdiff - sdiff * sdiff / w;
-        spans[i] = span > 0.0 ? span : 0.0;
+      const size_t begini = endi >= kScanBlock ? endi - kScanBlock : 0;
+      const double widest =
+          ScanSpan(dn, dsum, dsq, qp[begini], qsum[begini], qsq[begini]);
+      const double narrowest = ScanSpan(dn, dsum, dsq, qp[endi - 1],
+                                        qsum[endi - 1], qsq[endi - 1]);
+      const double min_herror = std::min(block_min[begini / kScanBlock],
+                                         block_min[(endi - 1) / kScanBlock]);
+      const bool skip =
+          min_herror + narrowest >
+          best + (skip_slack + 8.0 * kUnitDouble * std::abs(best));
+      if (!skip) {
+        const size_t m = endi - begini;
+        double cands[kScanBlock];
+        for (size_t i = 0; i < m; ++i) {
+          const size_t e = begini + i;
+          cands[i] = qh[e] + ScanSpan(dn, dsum, dsq, qp[e], qsum[e], qsq[e]);
+        }
+        for (size_t i = m; i < kScanBlock; ++i) cands[i] = kInf;
+        constexpr size_t kLanes = 8;
+        double lanes[kLanes];
+        for (double& lane : lanes) lane = best;
+        for (size_t i = 0; i < kScanBlock; i += kLanes) {
+          for (size_t j = 0; j < kLanes; ++j) {
+            lanes[j] = cands[i + j] < lanes[j] ? cands[i + j] : lanes[j];
+          }
+        }
+        for (double lane : lanes) best = lane < best ? lane : best;
       }
-      for (size_t i = 0; i < m; ++i) {
-        const double cand = cache.herror[begini + i] + spans[i];
-        if (cand < best) best = cand;
-      }
-      // spans[0] is the widest bucket in the block; anything older is wider
-      // still, so its span alone already reaches best: stop.
-      if (spans[0] >= best) break;
+      if (widest >= best) break;
       endi = begini;
     }
     herr_cur_[static_cast<size_t>(k)] = best;
@@ -125,11 +196,8 @@ void AgglomerativeHistogram::Append(double value) {
       has_open_[ki] = true;
       open_start_herror_[ki] = h;
     } else if (h > (1.0 + delta_) * open_start_herror_[ki]) {
-      queues_[ki].push_back(Entry{.p = n - 1,
-                                  .herror = herr_prev_[static_cast<size_t>(k)],
-                                  .sum = prev_sum_,
-                                  .sqsum = prev_sqsum_});
-      scan_[ki].Push(queues_[ki].back());
+      queues_[ki].Push(n - 1, herr_prev_[static_cast<size_t>(k)], prev_sum_,
+                       prev_sqsum_);
       open_start_herror_[ki] = h;
     }
   }
@@ -150,13 +218,8 @@ int64_t AgglomerativeHistogram::MemoryBytes() const {
   size_t bytes = herr_cur_.capacity() * sizeof(double) +
                  herr_prev_.capacity() * sizeof(double) +
                  open_start_herror_.capacity() * sizeof(double) +
-                 queues_.capacity() * sizeof(std::vector<Entry>);
-  for (const auto& q : queues_) bytes += q.capacity() * sizeof(Entry);
-  for (const auto& c : scan_) {
-    bytes += (c.p.capacity() + c.sum.capacity() + c.sqsum.capacity() +
-              c.herror.capacity()) *
-             sizeof(double);
-  }
+                 queues_.capacity() * sizeof(EndpointQueue);
+  for (const auto& q : queues_) bytes += q.MemoryBytes();
   return static_cast<int64_t>(bytes);
 }
 
@@ -200,8 +263,10 @@ Result<Histogram> AgglomerativeHistogram::ExtractImpl(
     auto& lvl = cands[static_cast<size_t>(k)];
     // The origin doubles as "bucket k unused".
     lvl.push_back(Cand{0, 0.0L, 0.0L, 0.0, 0});
-    for (const Entry& e : queues_[static_cast<size_t>(k - 1)]) {
-      lvl.push_back(Cand{e.p, e.sum, e.sqsum, kInf, -1});
+    const EndpointQueue& queue = queues_[static_cast<size_t>(k - 1)];
+    for (size_t j = 0; j < queue.size(); ++j) {
+      lvl.push_back(Cand{static_cast<int64_t>(queue.p[j]), queue.exact[j].sum,
+                         queue.exact[j].sqsum, kInf, -1});
     }
     if (n - 1 > 0 && (lvl.back().p < n - 1)) {
       lvl.push_back(Cand{n - 1, prev_sum_, prev_sqsum_, kInf, -1});
@@ -311,12 +376,13 @@ std::string AgglomerativeHistogram::Serialize() const {
   for (size_t ki = 0; ki < queues_.size(); ++ki) {
     payload.PutF64(open_start_herror_[ki]);
     payload.PutBool(has_open_[ki]);
-    payload.PutU64(queues_[ki].size());
-    for (const Entry& e : queues_[ki]) {
-      payload.PutI64(e.p);
-      payload.PutLongDouble(e.sum);
-      payload.PutLongDouble(e.sqsum);
-      payload.PutF64(e.herror);
+    const EndpointQueue& queue = queues_[ki];
+    payload.PutU64(queue.size());
+    for (size_t j = 0; j < queue.size(); ++j) {
+      payload.PutI64(static_cast<int64_t>(queue.p[j]));
+      payload.PutLongDouble(queue.exact[j].sum);
+      payload.PutLongDouble(queue.exact[j].sqsum);
+      payload.PutF64(queue.herror[j]);
     }
   }
   return WrapFrame(kAgglomerativeMagic, kAgglomerativeVersion,
@@ -380,23 +446,24 @@ Result<AgglomerativeHistogram> AgglomerativeHistogram::Deserialize(
       return Status::InvalidArgument(
           "agglomerative entry count exceeds payload");
     }
-    auto& queue = hist.queues_[ki];
-    queue.reserve(entries);
+    EndpointQueue& queue = hist.queues_[ki];
     int64_t last_p = 0;
     for (uint64_t j = 0; j < entries; ++j) {
-      Entry e{};
-      if (!reader.ReadI64(&e.p) || !reader.ReadLongDouble(&e.sum) ||
-          !reader.ReadLongDouble(&e.sqsum) || !reader.ReadF64(&e.herror)) {
+      int64_t p = 0;
+      long double sum = 0.0L, sqsum = 0.0L;
+      double herror = 0.0;
+      if (!reader.ReadI64(&p) || !reader.ReadLongDouble(&sum) ||
+          !reader.ReadLongDouble(&sqsum) || !reader.ReadF64(&herror)) {
         return Status::InvalidArgument("truncated agglomerative entries");
       }
-      if (e.p <= last_p || e.p >= count || !FiniteLd(e.sum) ||
-          !FiniteLd(e.sqsum) || !std::isfinite(e.herror)) {
+      // p is stored as a double, exact up to 2^53.
+      if (p <= last_p || p >= count || p > (int64_t{1} << 53) ||
+          !FiniteLd(sum) || !FiniteLd(sqsum) || !std::isfinite(herror)) {
         return Status::InvalidArgument(
             "agglomerative entries violate invariants");
       }
-      last_p = e.p;
-      queue.push_back(e);
-      hist.scan_[ki].Push(e);
+      last_p = p;
+      queue.Push(p, herror, sum, sqsum);
     }
   }
   if (!reader.AtEnd()) {

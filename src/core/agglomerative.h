@@ -93,13 +93,32 @@ class AgglomerativeHistogram {
  private:
   AgglomerativeHistogram(int64_t num_buckets, double epsilon);
 
-  /// A snapshotted closed-interval endpoint: prefix length p with its prefix
-  /// sums and the (approximate) HERROR[p, k] at close time.
-  struct Entry {  // p and herror first: 48 bytes, no alignment padding
-    int64_t p;
-    double herror;
+  /// A snapshotted closed-interval endpoint's exact prefix sums; its prefix
+  /// length p and (approximate) HERROR[p, k] at close time live in the
+  /// queue's scan columns.
+  struct Entry {
     long double sum;
     long double sqsum;
+  };
+
+  /// One level's interval endpoints in increasing p, struct-of-arrays. The
+  /// per-append DP scan touches thousands of endpoints; reading dense double
+  /// columns instead of long-double records keeps that scan a tight,
+  /// vectorizable loop. p (exact: p < 2^53) and herror are stored only
+  /// here; the sums are kept exactly in `exact` for Extract and Serialize
+  /// and rounded to double in `sum`/`sqsum` for the scan.
+  struct EndpointQueue {
+    std::vector<double> p, herror, sum, sqsum;
+    std::vector<Entry> exact;
+    // Derived, never serialized: the minimum herror of each fixed 64-entry
+    // block [64j, 64j + 64), so the scan can skip a block whose candidates
+    // provably all cost at least the best so far. Rebuilt by Push on
+    // Deserialize.
+    std::vector<double> block_min_herror;
+
+    void Push(int64_t at, double h, long double s, long double q);
+    size_t size() const { return p.size(); }
+    size_t MemoryBytes() const;
   };
 
   // SSE of the bucket spanning prefix snapshots (from -> to].
@@ -115,22 +134,7 @@ class AgglomerativeHistogram {
   double delta_;
 
   // queues_[k-1] holds level-k snapshots, k in [1, B-1], in increasing p.
-  std::vector<std::vector<Entry>> queues_;
-  // Derived, never serialized: the entry fields of each queue rounded to
-  // double and laid out struct-of-arrays. The per-append DP scan touches
-  // thousands of endpoints; reading four dense double arrays instead of
-  // 48-byte Entry records (with x87 long-double loads) keeps that scan a
-  // tight, vectorizable loop. Rebuilt from queues_ on Deserialize.
-  struct ScanCache {
-    std::vector<double> p, sum, sqsum, herror;
-    void Push(const Entry& e) {
-      p.push_back(static_cast<double>(e.p));
-      sum.push_back(static_cast<double>(e.sum));
-      sqsum.push_back(static_cast<double>(e.sqsum));
-      herror.push_back(e.herror);
-    }
-  };
-  std::vector<ScanCache> scan_;
+  std::vector<EndpointQueue> queues_;
   // Per level k in [1, B-1]: HERROR at the start of the currently open
   // interval (the trigger threshold).
   std::vector<double> open_start_herror_;

@@ -348,8 +348,10 @@ int64_t ManagedStream::EstimateFootprintBytes(const StreamConfig& config) {
   const int64_t entries = (b - 1) * per_level;
   // A fixed-window endpoint: p, HERROR and its two long-double prefix sums.
   bytes += entries * (8 + 8 + 2 * 16);
-  // A lifetime endpoint: a 48-byte Entry plus four doubles of scan cache.
-  if (config.keep_lifetime_histogram) bytes += entries * (48 + 4 * 8);
+  // A lifetime endpoint: its two long-double prefix sums plus four double
+  // scan columns (p, HERROR and the sums rounded); the per-block HERROR
+  // minimum adds one double per 64 endpoints.
+  if (config.keep_lifetime_histogram) bytes += entries * (2 * 16 + 4 * 8);
   // GK summary and FM sketch: small logarithmic-size synopses.
   bytes += 64 * 1024;
   return bytes;

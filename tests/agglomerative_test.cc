@@ -1,6 +1,11 @@
 #include "src/core/agglomerative.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <functional>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,6 +113,176 @@ TEST(AgglomerativeTest, SpaceGrowsLogarithmically) {
   // A 16x longer stream should grow storage by far less than 16x (the bound
   // is logarithmic in stream length for bounded values).
   EXPECT_LT(entries_at_16k, 4 * entries_at_1k);
+}
+
+// The per-append DP scan may be restructured for speed (block reductions,
+// block skipping), but the streamed HERROR after every arrival, the endpoint
+// snapshots and the extraction are pinned here bit for bit: a kernel change
+// that alters any operand, any operation or the visited candidate set fails
+// these even when the (1+eps) guarantee tests above still pass.
+
+// Level-plus-noise in whole cents: levels in [10, 90] held for 60-180
+// points, uniform noise of +-2.50 (the shape of the benchmark's streams).
+std::vector<double> LevelPlusNoise(int64_t n, uint64_t seed) {
+  Random rng(seed);
+  std::vector<double> out;
+  out.reserve(static_cast<size_t>(n));
+  while (static_cast<int64_t>(out.size()) < n) {
+    const int64_t level = rng.UniformInt(1000, 9000);
+    const int64_t hold = rng.UniformInt(60, 180);
+    for (int64_t i = 0; i < hold && static_cast<int64_t>(out.size()) < n;
+         ++i) {
+      out.push_back(static_cast<double>(level + rng.UniformInt(-250, 250)) /
+                    100.0);
+    }
+  }
+  return out;
+}
+
+// FNV-1a, folded one byte at a time.
+uint64_t Fnv1a(uint64_t digest, const void* data, size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    digest ^= bytes[i];
+    digest *= 0x100000001b3ULL;
+  }
+  return digest;
+}
+
+// Everything the builder decides, rendered as one string so a mismatch
+// prints the whole actual fingerprint next to the pinned one: a digest of
+// ApproxError()'s bits after every append, a digest of the Serialize()
+// bytes (every endpoint's p, sums and HERROR), the endpoint count and the
+// extracted histogram.
+std::string Fingerprint(int64_t buckets, double epsilon,
+                        const std::vector<double>& values) {
+  AgglomerativeHistogram a = MakeAgglom(buckets, epsilon);
+  uint64_t errors = 0xcbf29ce484222325ULL;
+  for (double v : values) {
+    a.Append(v);
+    const uint64_t bits = std::bit_cast<uint64_t>(a.ApproxError());
+    errors = Fnv1a(errors, &bits, sizeof(bits));
+  }
+  const std::string bytes = a.Serialize();
+  const uint64_t state = Fnv1a(0xcbf29ce484222325ULL, bytes.data(),
+                               bytes.size());
+  char hex[64];
+  std::snprintf(hex, sizeof(hex), "errors=%016llx state=%016llx",
+                static_cast<unsigned long long>(errors),
+                static_cast<unsigned long long>(state));
+  return std::string(hex) + " entries=" +
+         std::to_string(a.total_stored_entries()) + " hist=" +
+         a.Extract().ToString();
+}
+
+struct AgglomerativeGoldenCase {
+  const char* name;
+  int64_t buckets;
+  double epsilon;
+  std::function<std::vector<double>()> values;
+  const char* pinned;
+};
+
+TEST(AgglomerativeGoldenTest, StreamedAnswersAreBitIdentical) {
+  const AgglomerativeGoldenCase cases[] = {
+      // Long enough that every level's queue spans many 64-entry blocks.
+      {"level_noise_100k_b16", 16, 0.1,
+       [] { return LevelPlusNoise(100000, 1); },
+       "errors=a5849d270dff947e state=b6c86b955e212871 entries=34896 "
+       "hist=[0,2044)=36.4272 [2044,8199)=53.58 [8199,11321)=38.29 "
+       "[11321,11918)=81.102 [11918,17257)=49.4528 [17257,20558)=34.0555 "
+       "[20558,42790)=51.6524 [42790,45293)=31.0468 "
+       "[45293,47291)=62.2828 [47291,47720)=17.2844 "
+       "[47720,49193)=62.2387 [49193,54430)=39.9831 "
+       "[54430,95552)=50.2691 [95552,97438)=28.1407 [97438,99708)=54.247 "
+       "[99708,100000)=12.609"},
+      // Sums near 1e9 * n with a 1e-6 variance: the true bucket errors lie
+      // far below the sums' rounding, which must be reproduced exactly.
+      {"near_1e9_tiny_variance", 16, 0.001,
+       [] {
+         Random rng(2);
+         std::vector<double> out;
+         for (int i = 0; i < 20000; ++i) {
+           const double level = (i / 400) % 2 == 0 ? 1e9 : 1e9 + 5e-3;
+           out.push_back(level + rng.Gaussian(0.0, 1e-3));
+         }
+         return out;
+       },
+       "errors=5d221d5070447725 state=bf3339faaa271bd2 entries=15 "
+       "hist=[0,20000)=1e+09"},
+      // Near 1e6 with a 0.01 variance: the scan's double spans carry
+      // rounding errors far above the true bucket errors, over queues of
+      // many blocks, so a skip bound must allow for that rounding.
+      {"near_1e6_small_variance", 8, 0.1,
+       [] {
+         Random rng(5);
+         std::vector<double> out;
+         for (int i = 0; i < 20000; ++i) {
+           const double level = (i / 400) % 2 == 0 ? 1e6 : 1e6 + 1.0;
+           out.push_back(level + rng.Gaussian(0.0, 0.1));
+         }
+         return out;
+       },
+       "errors=3df59a1d2e59726f state=7f114aa52625fdb0 entries=6501 "
+       "hist=[0,400)=1e+06 [400,800)=1e+06 [800,1200)=1e+06 "
+       "[1200,1600)=1e+06 [1600,2000)=1e+06 [2000,2400)=1e+06 "
+       "[2400,2800)=1e+06 [2800,20000)=1e+06"},
+      {"constant_runs", 6, 0.1,
+       [] {
+         const double levels[] = {3.0, -7.0, 3.0, 42.0, 0.0, 11.0};
+         std::vector<double> out;
+         for (int i = 0; i < 20000; ++i) out.push_back(levels[(i / 450) % 6]);
+         return out;
+       },
+       "errors=660813fea75e2d64 state=4a1927e7827f8a9f entries=3138 "
+       "hist=[0,1350)=-0.333333 [1350,1800)=42 [1800,4050)=2 "
+       "[4050,4500)=42 [4500,19371)=8.28142 [19371,20000)=-3.82035"},
+      {"ramp_with_spikes", 16, 0.2,
+       [] {
+         std::vector<double> out;
+         for (int i = 0; i < 20000; ++i) {
+           out.push_back(i % 97 == 13 ? 1000.0 : 0.5 * (i % 5000));
+         }
+         return out;
+       },
+       "errors=815c8ba61a804110 state=c5859c13ba79e508 entries=17840 "
+       "hist=[0,1274)=325.418 [1274,2540)=953.778 [2540,3798)=1577.98 "
+       "[3798,5000)=2187.14 [5000,6213)=309.972 [6213,7499)=928.558 "
+       "[7499,8763)=1559.28 [8763,10000)=2178.99 [10000,11247)=318.87 "
+       "[11247,12540)=947.066 [12540,13789)=1575.73 "
+       "[13789,15000)=2185.02 [15000,16257)=321.084 "
+       "[16257,17502)=940.069 [17502,18742)=1554.71 "
+       "[18742,20000)=2172.78"},
+      // A NaN handed straight to Append (the engine quarantines these; the
+      // core builder must still behave the same).
+      {"nan_mid_stream", 8, 0.1,
+       [] {
+         std::vector<double> out = LevelPlusNoise(6001, 3);
+         out[3000] = std::numeric_limits<double>::quiet_NaN();
+         return out;
+       },
+       "errors=abfc9921e5b4ee1c state=23a184b67b32e2de entries=4615 "
+       "hist=[0,6001)=nan"},
+      {"buckets_1", 1, 0.1, [] { return LevelPlusNoise(20000, 4); },
+       "errors=d93a7dde30662f63 state=6aa200478417fe8b entries=0 "
+       "hist=[0,20000)=49.2207"},
+      {"buckets_2", 2, 0.1, [] { return LevelPlusNoise(20000, 4); },
+       "errors=0488b4d3687beaa9 state=d2f771ac8f244682 entries=265 "
+       "hist=[0,1850)=36.7095 [1850,20000)=50.496"},
+      {"buckets_16", 16, 0.1, [] { return LevelPlusNoise(20000, 4); },
+       "errors=742fc0e9991d727d state=76b43c897d462d9e entries=26084 "
+       "hist=[0,141)=18.0056 [141,504)=65.4577 [504,1848)=30.8499 "
+       "[1848,5212)=50.131 [5212,6227)=66.0903 [6227,7105)=30.4139 "
+       "[7105,10314)=60.1864 [10314,10548)=26.0264 [10548,11329)=53.7989 "
+       "[11329,12578)=30.7822 [12578,13425)=63.6533 "
+       "[13425,14460)=32.7529 [14460,14728)=65.6019 "
+       "[14728,15106)=23.5306 [15106,15246)=87.3274 "
+       "[15246,20000)=52.1707"},
+  };
+  for (const AgglomerativeGoldenCase& c : cases) {
+    EXPECT_EQ(Fingerprint(c.buckets, c.epsilon, c.values()), c.pinned)
+        << c.name;
+  }
 }
 
 // Property sweep: the extracted histogram's SSE is within (1+eps) of the

@@ -173,19 +173,26 @@ TEST(AgglomerativeSerializationTest, RoundTripPreservesQueries) {
   options.num_buckets = 8;
   options.epsilon = 0.2;
   AgglomerativeHistogram h = AgglomerativeHistogram::Create(options).value();
-  for (double v : TestSeries(700)) h.Append(v);
+  // 20k points leave 420-450 endpoints on every level: queues of several
+  // 64-entry scan blocks, whose per-block minima Deserialize rebuilds.
+  const std::vector<double> series = TestSeries(24000);
+  for (size_t i = 0; i < 20000; ++i) h.Append(series[i]);
+  ASSERT_GT(h.total_stored_entries(), 7 * 64 * 6);
 
   auto restored = AgglomerativeHistogram::Deserialize(h.Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ(restored->size(), h.size());
   EXPECT_EQ(restored->ApproxError(), h.ApproxError());
   EXPECT_EQ(restored->Extract().ToString(), h.Extract().ToString());
-  // Future appends must also behave identically.
-  for (double v : TestSeries(100)) {
-    h.Append(v);
-    restored->Append(v);
+  // Future appends must also behave identically to the uninterrupted
+  // builder, down to the bits of every streamed error and of the state.
+  for (size_t i = 20000; i < series.size(); ++i) {
+    h.Append(series[i]);
+    restored->Append(series[i]);
+    ASSERT_EQ(restored->ApproxError(), h.ApproxError()) << "point " << i;
   }
   EXPECT_EQ(restored->Extract().ToString(), h.Extract().ToString());
+  EXPECT_EQ(restored->Serialize(), h.Serialize());
 }
 
 TEST(GkSummarySerializationTest, RoundTripPreservesQuantiles) {
